@@ -1,11 +1,12 @@
 // Emits BENCH_PR9.json: the networked transport's cost profile
 // (DESIGN.md §14).
 //
-// Three phases over the same mixed KV workload (NetDht, replication=2,
-// oracle-verified against an in-memory map):
-//   * in_process  — NetDht over the SimHub twin (NodeServers inline, no
-//     sockets): the protocol's CPU floor.
-//   * networked   — the same NetDht over real UDP sockets against
+// Three phases over the same mixed KV workload (RoutedNetDht over a
+// frozen view of a static node list, replication=2, oracle-verified
+// against an in-memory map):
+//   * in_process  — the client over the SimHub twin (NodeServers inline,
+//     no sockets): the protocol's CPU floor.
+//   * networked   — the same client over real UDP sockets against
 //     fork/exec'd lht_noded daemons on localhost: what a process boundary
 //     and the kernel's loopback stack add.
 //   * batching    — datagrams spent reading K keys one get() at a time vs
@@ -33,13 +34,13 @@
 
 #include "common/flags.h"
 #include "common/random.h"
-#include "dht/net_dht.h"
+#include "dht/routed_net_dht.h"
 #include "rpc/node_server.h"
 #include "rpc/sim_transport.h"
 #include "rpc/udp_transport.h"
 
 using lht::common::u64;
-using lht::dht::NetDht;
+using lht::dht::RoutedNetDht;
 namespace rpc = lht::rpc;
 
 namespace {
@@ -133,11 +134,12 @@ struct SimCluster {
     }
   }
 
-  std::unique_ptr<NetDht> makeDht(size_t replication) {
-    NetDht::Options o;
+  std::unique_ptr<RoutedNetDht> makeDht(size_t replication) {
+    RoutedNetDht::Options o;
     o.nodes = addrs;
     o.replication = replication;
-    return std::make_unique<NetDht>(o, [this] { return hub.makeEndpoint(); });
+    return std::make_unique<RoutedNetDht>(
+        o, [this] { return hub.makeEndpoint(); });
   }
 };
 
@@ -208,7 +210,8 @@ void stopDaemons(std::vector<Daemon>& daemons) {
 }
 
 void emitWorkload(std::ostringstream& os, const char* name,
-                  const WorkloadResult& r, const NetDht::NetStats& net) {
+                  const WorkloadResult& r,
+                  const RoutedNetDht::RoutedStats& net) {
   os << "  \"" << name << "\": {\n"
      << "    \"ops\": " << r.ops << ",\n"
      << "    \"ops_failed\": " << r.opsFailed << ",\n"
@@ -226,8 +229,9 @@ void emitWorkload(std::ostringstream& os, const char* name,
 int main(int argc, char** argv) {
   lht::common::Flags flags(
       "bench_net",
-      "Emits BENCH_PR9.json: in-process vs multi-process NetDht throughput "
-      "plus the multiGet batching economy, with oracle verification.");
+      "Emits BENCH_PR9.json: in-process vs multi-process throughput of "
+      "RoutedNetDht over a static node list, plus the multiGet batching "
+      "economy, with oracle verification.");
   flags.define("nodes", "8", "cluster size (both phases)");
   flags.define("ops", "4000", "workload operations per phase");
   flags.define("batch-keys", "256", "keys in the batching comparison");
@@ -244,12 +248,12 @@ int main(int argc, char** argv) {
 
   // Phase 1: in-process (SimHub) ---------------------------------------------
   WorkloadResult inProc;
-  NetDht::NetStats inProcNet;
+  RoutedNetDht::RoutedStats inProcNet;
   {
     SimCluster cluster(nodes);
     auto dht = cluster.makeDht(replication);
     inProc = runWorkload(*dht, ops, seed);
-    inProcNet = dht->netStats();
+    inProcNet = dht->routedStats();
   }
 
   // Phase 2: networked (fork/exec lht_noded, real UDP) -----------------------
@@ -261,7 +265,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   WorkloadResult networked;
-  NetDht::NetStats networkedNet;
+  RoutedNetDht::RoutedStats networkedNet;
   {
     std::vector<Daemon> daemons(nodes);
     for (size_t i = 0; i < nodes; ++i) {
@@ -271,21 +275,21 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    NetDht::Options o;
+    RoutedNetDht::Options o;
     for (const auto& d : daemons) {
       o.nodes.push_back(rpc::NetAddr{rpc::kLoopbackHost, d.port});
     }
     o.replication = replication;
-    NetDht dht(o, [] {
+    RoutedNetDht dht(o, [] {
       return std::make_unique<rpc::UdpTransport>(rpc::UdpTransport::Options{});
     });
-    if (!dht.pingAll(10'000)) {
+    if (!dht.bootstrap(10'000)) {
       std::fprintf(stderr, "bench_net: cluster did not answer pings\n");
       stopDaemons(daemons);
       return 1;
     }
     networked = runWorkload(dht, ops, seed);
-    networkedNet = dht.netStats();
+    networkedNet = dht.routedStats();
     stopDaemons(daemons);
   }
 
@@ -302,14 +306,14 @@ int main(int argc, char** argv) {
       keys.push_back("batch" + std::to_string(i));
       dht->put(keys.back(), "v" + std::to_string(i));
     }
-    const auto afterLoad = dht->netStats();
+    const auto afterLoad = dht->routedStats();
     for (const auto& k : keys) {
       auto got = dht->get(k);
       if (!got.has_value()) batchOracleOk = false;
     }
-    const auto afterSingles = dht->netStats();
+    const auto afterSingles = dht->routedStats();
     auto outcomes = dht->multiGet(keys);
-    const auto afterBatch = dht->netStats();
+    const auto afterBatch = dht->routedStats();
     for (size_t i = 0; i < outcomes.size(); ++i) {
       if (!outcomes[i].ok || outcomes[i].value != "v" + std::to_string(i)) {
         batchOracleOk = false;

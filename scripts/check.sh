@@ -35,7 +35,8 @@
 #               skew bench (read balance with leases + adaptive splits on
 #               vs off) into build-release/BENCH_PR8.json, diffed warn-only
 #               against the committed BENCH_PR8.json
-#   --net       also run the wire-format, transport, NetDht, and two-process
+#   --net       also run the wire-format, transport, static-cluster client
+#               (RoutedNetDht over a frozen view), and two-process
 #               loopback suites under ASan+UBSan (the fuzz decoders' no-
 #               over-read guarantee is only meaningful with ASan watching),
 #               then the release networked bench (in-process vs N-process
@@ -191,12 +192,12 @@ if [[ "$skew" -eq 1 ]]; then
 fi
 
 if [[ "$net" -eq 1 ]]; then
-  echo "== wire/transport/NetDht/loopback suites under ASan+UBSan =="
+  echo "== wire/transport/static-client/loopback suites under ASan+UBSan =="
   cmake --preset asan-ubsan
   cmake --build --preset asan-ubsan -j "$jobs" --target lht_tests \
     --target lht_noded
   ctest --test-dir build-asan -j "$jobs" --output-on-failure \
-    -R 'Varint|RpcWire|SimTransport|RpcClient|NodeServer|NetDht|NetLoopback'
+    -R 'Varint|RpcWire|SimTransport|RpcClient|NodeServer|NetDht|FrozenView|NetLoopback'
   echo "== networked bench (in-process vs N-process + batching, release) =="
   cmake --preset release
   cmake --build --preset release -j "$jobs" --target bench_net \

@@ -1,6 +1,7 @@
 #include "dht/routed_net_dht.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/types.h"
 
@@ -9,7 +10,7 @@ namespace lht::dht {
 using common::u64;
 using namespace rpc::wire;  // NOLINT — this file IS the protocol client
 
-// --- Connection pool (same shape as NetDht's) -------------------------------
+// --- Connection pool --------------------------------------------------------
 
 class RoutedNetDht::Lease {
  public:
@@ -26,6 +27,10 @@ class RoutedNetDht::Lease {
       idx_ = dht_.freeConns_.back();
       dht_.freeConns_.pop_back();
     }
+    // Resolve the Conn pointer while still holding poolMutex_: a
+    // concurrent Lease's push_back may reallocate conns_'s buffer, so
+    // rpc() must never re-index it unlocked. The unique_ptr pointee is
+    // stable across reallocation, and this slot is ours until ~Lease.
     conn_ = dht_.conns_[idx_].get();
   }
   ~Lease() {
@@ -45,12 +50,57 @@ class RoutedNetDht::Lease {
 
 // --- Construction -----------------------------------------------------------
 
+namespace {
+
+/// A static node list as a membership table: one Alive entry per address,
+/// seeded by its address-derived id — the same way overlay nodes seed
+/// their own entries, so the ring depends on the address set alone.
+std::vector<NodeEntry> frozenEntries(const std::vector<rpc::NetAddr>& nodes) {
+  std::vector<NodeEntry> entries;
+  entries.reserve(nodes.size());
+  for (const rpc::NetAddr& addr : nodes) {
+    NodeEntry e;
+    e.id = overlay::nodeIdFor(addr);
+    e.host = addr.host;
+    e.port = addr.port;
+    e.incarnation = 1;
+    e.ringBase = e.id;
+    entries.push_back(e);
+  }
+  return entries;
+}
+
+}  // namespace
+
+RoutedNetDht::View::View(const std::vector<NodeEntry>& entries,
+                         size_t virtualNodes)
+    : ring(entries, virtualNodes) {
+  for (const NodeEntry& e : entries) {
+    if (e.state > static_cast<common::u8>(overlay::NodeState::Suspect)) {
+      continue;
+    }
+    addrs.emplace(e.id, overlay::addrOf(e));
+    pullTargets.push_back(overlay::addrOf(e));
+  }
+}
+
 RoutedNetDht::RoutedNetDht(Options options, TransportFactory makeTransport)
     : opts_(std::move(options)), makeTransport_(std::move(makeTransport)) {
+  common::checkInvariant(
+      opts_.nodes.empty() != (opts_.seed == rpc::NetAddr{}),
+      "RoutedNetDht: set exactly one of nodes / seed");
   common::checkInvariant(opts_.replication >= 1,
                          "RoutedNetDht: replication >= 1");
   common::checkInvariant(opts_.maxAttempts >= 1,
                          "RoutedNetDht: maxAttempts >= 1");
+  common::checkInvariant(opts_.maxKeysPerDatagram >= 1,
+                         "RoutedNetDht: maxKeysPerDatagram >= 1");
+  if (frozen()) {
+    view_ = std::make_shared<const View>(frozenEntries(opts_.nodes),
+                                         opts_.virtualNodes);
+    common::checkInvariant(view_->addrs.size() == opts_.nodes.size(),
+                           "RoutedNetDht: duplicate node address");
+  }
 }
 
 RoutedNetDht::~RoutedNetDht() = default;
@@ -96,15 +146,7 @@ bool RoutedNetDht::pullView(rpc::RpcClient& cli, const rpc::NetAddr& from) {
   const auto* rep = std::get_if<GossipSyncRep>(&r.body);
   if (rep == nullptr || rep->entries.empty()) return false;  // not overlay
 
-  auto v = std::make_shared<View>();
-  v->ring = overlay::MemberRing(rep->entries, opts_.virtualNodes);
-  for (const NodeEntry& e : rep->entries) {
-    if (e.state > static_cast<common::u8>(overlay::NodeState::Suspect)) {
-      continue;
-    }
-    v->addrs.emplace(e.id, overlay::addrOf(e));
-    v->pullTargets.push_back(overlay::addrOf(e));
-  }
+  auto v = std::make_shared<const View>(rep->entries, opts_.virtualNodes);
   if (v->addrs.empty()) return false;
   {
     std::lock_guard<std::mutex> lock(viewMutex_);
@@ -123,6 +165,7 @@ bool RoutedNetDht::pullView(rpc::RpcClient& cli, const rpc::NetAddr& from) {
 }
 
 bool RoutedNetDht::refreshView(rpc::RpcClient& cli) {
+  if (frozen()) return false;
   std::vector<rpc::NetAddr> targets;
   if (auto v = view()) targets = v->pullTargets;
   targets.push_back(opts_.seed);
@@ -135,9 +178,27 @@ bool RoutedNetDht::refreshView(rpc::RpcClient& cli) {
 bool RoutedNetDht::bootstrap(u64 deadlineMs) {
   Lease lease(*this);
   rpc::RpcClient& cli = lease.rpc();
+  // Frozen view: ping every still-silent member concurrently, so a round
+  // costs at most one request deadline however many members are down —
+  // the overshoot past deadlineMs is one request deadline, not one per
+  // silent member.
+  std::vector<rpc::NetAddr> silent = opts_.nodes;
+  auto pingRound = [&] {
+    std::vector<std::pair<rpc::NetAddr, rpc::RpcClient::Token>> round;
+    round.reserve(silent.size());
+    for (const rpc::NetAddr& a : silent) {
+      round.emplace_back(a, cli.call(a, PingReq{}));
+    }
+    cli.settle();
+    silent.clear();
+    for (const auto& [a, t] : round) {
+      if (!cli.take(t).ok()) silent.push_back(a);
+    }
+    return silent.empty();
+  };
   const u64 start = cli.transport().nowMs();
   while (true) {
-    if (pullView(cli, opts_.seed)) return true;
+    if (frozen() ? pingRound() : pullView(cli, opts_.seed)) return true;
     if (cli.transport().nowMs() - start >= deadlineMs) return false;
   }
 }
@@ -154,6 +215,17 @@ RoutedNetDht::RoutedStats RoutedNetDht::routedStats() const {
     s = routedStats_;
   }
   std::lock_guard<std::mutex> lock(poolMutex_);
+  for (const auto& conn : conns_) {
+    const auto& t = conn->transport->stats();
+    s.datagramsSent += t.datagramsSent;
+    s.datagramsReceived += t.datagramsReceived;
+    s.bytesSent += t.bytesSent;
+    s.bytesReceived += t.bytesReceived;
+    const auto& r = conn->rpc->stats();
+    s.requestsStarted += r.requestsStarted;
+    s.retransmits += r.retransmits;
+    s.timeouts += r.timeouts;
+  }
   s.connections = conns_.size();
   return s;
 }
@@ -162,14 +234,12 @@ RoutedNetDht::RoutedStats RoutedNetDht::routedStats() const {
 
 namespace {
 
-[[noreturn]] void throwTimeout(const char* op, const Key& key) {
-  throw DhtTimeoutError(std::string("RoutedNetDht::") + op +
-                        ": rpc timeout on \"" + key + "\"");
-}
-
 void checkStatus(const rpc::RpcClient::Result& r, const char* op,
                  const Key& key) {
-  if (r.timedOut) throwTimeout(op, key);
+  if (r.timedOut) {
+    throw DhtTimeoutError(std::string("RoutedNetDht::") + op +
+                          ": rpc timeout on \"" + key + "\"");
+  }
   if (r.status != Status::Ok) {
     throw DhtError(std::string("RoutedNetDht::") + op + ": status " +
                    statusName(r.status) + " on \"" + key + "\"");
@@ -180,16 +250,18 @@ void checkStatus(const rpc::RpcClient::Result& r, const char* op,
 
 rpc::RpcClient::Result RoutedNetDht::callRouted(rpc::RpcClient& cli,
                                                 const Key& key,
-                                                const RequestBody& body,
-                                                const char* op) {
+                                                const RequestBody& body) {
+  std::shared_ptr<const View> v;
   bool wantRefresh;
   {
     std::lock_guard<std::mutex> lock(viewMutex_);
     wantRefresh = refreshWanted_;
+    v = view_;
   }
-  if (wantRefresh) refreshView(cli);
-
-  auto v = view();
+  if (wantRefresh) {
+    refreshView(cli);
+    v = view();
+  }
   rpc::RpcClient::Result last;
   last.timedOut = true;
   for (size_t attempt = 0; attempt < opts_.maxAttempts; ++attempt) {
@@ -204,13 +276,15 @@ rpc::RpcClient::Result RoutedNetDht::callRouted(rpc::RpcClient& cli,
       v = requireView();
       continue;
     }
-    // Hop accounting matches NetDht: the op's first route is charged by
-    // the caller; only extra rounds (redirects, refresh-retries after a
-    // timeout) add hops — so warm mean hops sits at 1.0 like the static
-    // client, and every topology stumble shows up as the excess.
+    // The op's first route is charged by the caller; only extra rounds
+    // (redirects, refresh-retries after a timeout) add hops — so warm
+    // mean hops sits at 1.0 and every topology stumble shows up as the
+    // excess.
     if (attempt > 0) stats_.hops += 1;
     last = cli.callOne(addrIt->second, body);
     noteHint(last.hint);
+    // A frozen view has nowhere else to route: one deadline, then fail.
+    if (frozen()) return last;
     if (last.timedOut) {
       // The owner may have crashed; a fresher view routes to whoever the
       // survivors promoted for its range.
@@ -249,16 +323,16 @@ size_t RoutedNetDht::replicaFanout() const {
   return std::min(opts_.replication, std::max<size_t>(members, 1)) - 1;
 }
 
-void RoutedNetDht::replicate(rpc::RpcClient& cli, const View& v,
-                             const Key& key,
+void RoutedNetDht::replicate(rpc::RpcClient& cli, const Key& key,
                              const std::optional<Value>& value, u64 version) {
   const size_t fanout = replicaFanout();
   if (fanout == 0) return;
-  const auto holders = v.ring.holders(key, fanout);
+  auto v = requireView();
+  const auto holders = v->ring.holders(key, fanout);
   std::vector<rpc::RpcClient::Token> tokens;
   for (size_t i = 1; i < holders.size(); ++i) {
-    auto it = v.addrs.find(holders[i]);
-    if (it == v.addrs.end()) continue;
+    auto it = v->addrs.find(holders[i]);
+    if (it == v->addrs.end()) continue;
     if (value.has_value()) {
       tokens.push_back(
           cli.call(it->second, ReplicaPutReq{key, *value, version}));
@@ -267,7 +341,9 @@ void RoutedNetDht::replicate(rpc::RpcClient& cli, const View& v,
     }
   }
   cli.settle();
-  // Best-effort, like NetDht: the primary committed already.
+  // Best-effort: the primary already committed. A silent holder shows up
+  // in routedStats().timeouts; a later read of that replica misses
+  // (stale), which failover treats as any other replica miss.
   for (auto t : tokens) (void)cli.take(t);
 }
 
@@ -280,10 +356,9 @@ void RoutedNetDht::put(const Key& key, Value value) {
   stats_.hops += 1;
   stats_.valueBytesMoved += value.size();
   Lease lease(*this);
-  auto r = callRouted(lease.rpc(), key, PutReq{key, value}, "put");
+  auto r = callRouted(lease.rpc(), key, PutReq{key, value});
   checkStatus(r, "put", key);
-  const u64 version = std::get<PutRep>(r.body).version;
-  replicate(lease.rpc(), *requireView(), key, value, version);
+  replicate(lease.rpc(), key, value, std::get<PutRep>(r.body).version);
 }
 
 std::optional<Value> RoutedNetDht::get(const Key& key) {
@@ -292,7 +367,7 @@ std::optional<Value> RoutedNetDht::get(const Key& key) {
   stats_.gets += 1;
   stats_.hops += 1;
   Lease lease(*this);
-  auto r = callRouted(lease.rpc(), key, GetReq{key}, "get");
+  auto r = callRouted(lease.rpc(), key, GetReq{key});
   checkStatus(r, "get", key);
   auto& rep = std::get<GetRep>(r.body);
   if (!rep.present) return std::nullopt;
@@ -306,12 +381,10 @@ bool RoutedNetDht::remove(const Key& key) {
   stats_.removes += 1;
   stats_.hops += 1;
   Lease lease(*this);
-  auto r = callRouted(lease.rpc(), key, RemoveReq{key}, "remove");
+  auto r = callRouted(lease.rpc(), key, RemoveReq{key});
   checkStatus(r, "remove", key);
   const bool existed = std::get<RemoveRep>(r.body).existed;
-  if (existed) {
-    replicate(lease.rpc(), *requireView(), key, std::nullopt, 0);
-  }
+  if (existed) replicate(lease.rpc(), key, std::nullopt, 0);
   return existed;
 }
 
@@ -323,7 +396,7 @@ bool RoutedNetDht::apply(const Key& key, const Mutator& fn) {
   Lease lease(*this);
   rpc::RpcClient& cli = lease.rpc();
 
-  auto g = callRouted(cli, key, GetReq{key}, "apply");
+  auto g = callRouted(cli, key, GetReq{key});
   checkStatus(g, "apply", key);
   auto& snap = std::get<GetRep>(g.body);
   bool present = snap.present;
@@ -340,18 +413,21 @@ bool RoutedNetDht::apply(const Key& key, const Mutator& fn) {
     if (v.has_value()) stats_.valueBytesMoved += v->size();
 
     CasReq cas{key, version, v.has_value(), v.value_or(Value{})};
-    auto r = callRouted(cli, key, cas, "apply");
+    auto r = callRouted(cli, key, cas);
     checkStatus(r, "apply", key);
     auto& rep = std::get<CasRep>(r.body);
     if (rep.applied) {
-      replicate(cli, *requireView(), key, v, rep.currentVersion);
+      replicate(cli, key, v, rep.currentVersion);
       return existedBefore;
     }
+    // Conflict: the reply carries the fresh state — retry the mutator
+    // against it without another GET round.
     present = rep.currentPresent;
     version = rep.currentVersion;
     current = std::move(rep.currentValue);
   }
-  throw DhtError("RoutedNetDht::apply: CAS contention exhausted on \"" + key +
+  throw DhtError("RoutedNetDht::apply: CAS contention exhausted " +
+                 std::to_string(opts_.casRetries) + " attempts on \"" + key +
                  "\"");
 }
 
@@ -365,6 +441,9 @@ struct OwnerChunk {
   std::vector<size_t> entries;
 };
 
+/// Groups entry positions by owner, opening a new chunk whenever one hits
+/// the key-count or byte cap. `byteCost(i)` approximates entry i's wire
+/// footprint.
 template <typename OwnerOf, typename ByteCost>
 std::vector<OwnerChunk> packByOwner(const std::vector<size_t>& items,
                                     size_t maxKeys, size_t maxBytes,
@@ -394,31 +473,34 @@ std::vector<OwnerChunk> packByOwner(const std::vector<size_t>& items,
 
 }  // namespace
 
-std::vector<GetOutcome> RoutedNetDht::multiGet(const std::vector<Key>& keys) {
-  if (keys.empty()) return {};
-  obs::SpanScope span("dht.multiGet", "dht");
-  stats_.batchRounds += 1;
-  stats_.lookups += keys.size();
-  stats_.gets += keys.size();
-  stats_.hops += keys.size();
+std::vector<RoutedNetDht::Fetched> RoutedNetDht::batchGet(
+    rpc::RpcClient& cli, const std::vector<Key>& keys, const char* op) {
+  const std::string prefix = std::string("RoutedNetDht::") + op + ": ";
+  std::vector<Fetched> out(keys.size());
+  std::vector<size_t> regroup(keys.size());  // entries to pack by owner
+  std::iota(regroup.begin(), regroup.end(), size_t{0});
+  std::vector<OwnerChunk> halves;  // halved too-large chunks, resent as is
 
-  Lease lease(*this);
-  rpc::RpcClient& cli = lease.rpc();
-  std::vector<GetOutcome> out(keys.size());
-  std::vector<size_t> active(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) active[i] = i;
-
-  for (size_t round = 0; round < opts_.maxBatchRounds && !active.empty();
+  for (size_t round = 0; round < opts_.maxBatchRounds &&
+                         !(regroup.empty() && halves.empty());
        ++round) {
     auto v = view();
     if (!v) {
       if (!refreshView(cli)) break;
       v = requireView();
     }
-    const auto chunks = packByOwner(
-        active, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
+    auto chunks = packByOwner(
+        regroup, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
         [&](size_t i) { return v->ring.owner(keys[i]); },
         [&](size_t i) { return keys[i].size() + 8; });
+    // Regrouped entries after the first round are extra routing rounds
+    // and cost a hop each; a resent half is the same route, not a new one.
+    const size_t regrouped = chunks.size();
+    chunks.insert(chunks.end(), std::make_move_iterator(halves.begin()),
+                  std::make_move_iterator(halves.end()));
+    regroup.clear();
+    halves.clear();
+
     std::vector<rpc::RpcClient::Token> tokens(chunks.size(), 0);
     std::vector<bool> sent(chunks.size(), false);
     for (size_t ci = 0; ci < chunks.size(); ++ci) {
@@ -429,26 +511,34 @@ std::vector<GetOutcome> RoutedNetDht::multiGet(const std::vector<Key>& keys) {
       for (size_t i : chunks[ci].entries) req.entries.push_back(GetReq{keys[i]});
       tokens[ci] = cli.call(it->second, std::move(req));
       sent[ci] = true;
-      if (round > 0) stats_.hops += chunks[ci].entries.size();
+      if (round > 0 && ci < regrouped) {
+        stats_.hops += chunks[ci].entries.size();
+      }
     }
     cli.settle();
 
-    std::vector<size_t> retry;
     bool wantRefresh = false;
     for (size_t ci = 0; ci < chunks.size(); ++ci) {
+      const std::vector<size_t>& entries = chunks[ci].entries;
       if (!sent[ci]) {
-        retry.insert(retry.end(), chunks[ci].entries.begin(),
-                     chunks[ci].entries.end());
+        regroup.insert(regroup.end(), entries.begin(), entries.end());
         wantRefresh = true;
         continue;
       }
       auto r = cli.take(tokens[ci]);
       noteHint(r.hint);
-      if (r.timedOut || r.status == Status::Redirect) {
+      if (!r.timedOut && r.status == Status::TooLarge && entries.size() > 1) {
+        // The answers would not fit one datagram: resend each half to the
+        // same owner next round. A lone key too large stays an error.
+        const auto mid = entries.begin() + entries.size() / 2;
+        halves.push_back(OwnerChunk{chunks[ci].owner, {entries.begin(), mid}});
+        halves.push_back(OwnerChunk{chunks[ci].owner, {mid, entries.end()}});
+        continue;
+      }
+      if (!frozen() && (r.timedOut || r.status == Status::Redirect)) {
         // Stale grouping (join/leave in flight) or a dead owner: refresh
         // and regroup just these entries.
-        retry.insert(retry.end(), chunks[ci].entries.begin(),
-                     chunks[ci].entries.end());
+        regroup.insert(regroup.end(), entries.begin(), entries.end());
         wantRefresh = true;
         if (r.status == Status::Redirect) {
           std::lock_guard<std::mutex> lock(statsMutex_);
@@ -456,31 +546,50 @@ std::vector<GetOutcome> RoutedNetDht::multiGet(const std::vector<Key>& keys) {
         }
         continue;
       }
-      if (r.status != Status::Ok) {
+      if (r.timedOut || r.status != Status::Ok) {
         const std::string err =
-            std::string("RoutedNetDht::multiGet: status ") +
-            statusName(r.status);
-        for (size_t i : chunks[ci].entries) out[i].error = err;
+            r.timedOut ? prefix + "rpc timeout"
+                       : prefix + "status " + statusName(r.status);
+        for (size_t i : entries) out[i].error = err;
         continue;
       }
       auto& rep = std::get<MultiGetRep>(r.body);
-      common::checkInvariant(rep.entries.size() == chunks[ci].entries.size(),
-                             "RoutedNetDht::multiGet: entry count mismatch");
-      for (size_t j = 0; j < rep.entries.size(); ++j) {
-        GetOutcome& o = out[chunks[ci].entries[j]];
-        o.ok = true;
-        if (rep.entries[j].present) {
-          stats_.valueBytesMoved += rep.entries[j].value.size();
-          o.value = std::move(rep.entries[j].value);
-        }
+      common::checkInvariant(rep.entries.size() == entries.size(),
+                             "RoutedNetDht::batchGet: entry count mismatch");
+      for (size_t j = 0; j < entries.size(); ++j) {
+        out[entries[j]].rep = std::move(rep.entries[j]);
       }
     }
-    active = std::move(retry);
-    if (wantRefresh && !active.empty()) refreshView(cli);
+    if (wantRefresh && !regroup.empty()) refreshView(cli);
   }
-  for (size_t i : active) {
-    if (out[i].error.empty() && !out[i].ok) {
-      out[i].error = "RoutedNetDht::multiGet: rpc timeout";
+  for (const OwnerChunk& h : halves) {
+    regroup.insert(regroup.end(), h.entries.begin(), h.entries.end());
+  }
+  for (size_t i : regroup) out[i].error = prefix + "rpc timeout";
+  return out;
+}
+
+std::vector<GetOutcome> RoutedNetDht::multiGet(const std::vector<Key>& keys) {
+  if (keys.empty()) return {};
+  obs::SpanScope span("dht.multiGet", "dht");
+  stats_.batchRounds += 1;
+  stats_.lookups += keys.size();
+  stats_.gets += keys.size();
+  stats_.hops += keys.size();
+
+  Lease lease(*this);
+  auto fetched = batchGet(lease.rpc(), keys, "multiGet");
+  std::vector<GetOutcome> out(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Fetched& f = fetched[i];
+    if (!f.error.empty()) {
+      out[i].error = std::move(f.error);
+      continue;
+    }
+    out[i].ok = true;
+    if (f.rep.present) {
+      stats_.valueBytesMoved += f.rep.value.size();
+      out[i].value = std::move(f.rep.value);
     }
   }
   return out;
@@ -499,108 +608,58 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
   rpc::RpcClient& cli = lease.rpc();
   std::vector<ApplyOutcome> out(reqs.size());
 
+  // Per-entry CAS state, seeded by the snapshot and refreshed by conflict
+  // replies.
   struct State {
-    bool present = false;
-    u64 version = 0;
-    Value value;
+    GetRep snap;
     bool existedAtFirstCas = false;
   };
   std::vector<State> state(reqs.size());
-
-  // Snapshot phase (batched GETs, regrouped on redirect/timeout).
   std::vector<size_t> active;
   {
-    std::vector<size_t> pending(reqs.size());
-    for (size_t i = 0; i < reqs.size(); ++i) pending[i] = i;
-    for (size_t round = 0; round < opts_.maxBatchRounds && !pending.empty();
-         ++round) {
-      auto v = view();
-      if (!v) {
-        if (!refreshView(cli)) break;
-        v = requireView();
+    std::vector<Key> keys;
+    keys.reserve(reqs.size());
+    for (const ApplyRequest& r : reqs) keys.push_back(r.key);
+    auto fetched = batchGet(cli, keys, "multiApply snapshot");
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      if (!fetched[i].error.empty()) {
+        out[i].error = std::move(fetched[i].error);
+        continue;
       }
-      const auto chunks = packByOwner(
-          pending, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
-          [&](size_t i) { return v->ring.owner(reqs[i].key); },
-          [&](size_t i) { return reqs[i].key.size() + 8; });
-      std::vector<rpc::RpcClient::Token> tokens(chunks.size(), 0);
-      std::vector<bool> sent(chunks.size(), false);
-      for (size_t ci = 0; ci < chunks.size(); ++ci) {
-        auto it = v->addrs.find(chunks[ci].owner);
-        if (it == v->addrs.end()) continue;
-        MultiGetReq req;
-        for (size_t i : chunks[ci].entries) {
-          req.entries.push_back(GetReq{reqs[i].key});
-        }
-        tokens[ci] = cli.call(it->second, std::move(req));
-        sent[ci] = true;
-        if (round > 0) stats_.hops += chunks[ci].entries.size();
-      }
-      cli.settle();
-      std::vector<size_t> retry;
-      bool wantRefresh = false;
-      for (size_t ci = 0; ci < chunks.size(); ++ci) {
-        if (!sent[ci]) {
-          retry.insert(retry.end(), chunks[ci].entries.begin(),
-                       chunks[ci].entries.end());
-          wantRefresh = true;
-          continue;
-        }
-        auto r = cli.take(tokens[ci]);
-        noteHint(r.hint);
-        if (r.timedOut || r.status == Status::Redirect) {
-          retry.insert(retry.end(), chunks[ci].entries.begin(),
-                       chunks[ci].entries.end());
-          wantRefresh = true;
-          continue;
-        }
-        if (r.status != Status::Ok) {
-          for (size_t i : chunks[ci].entries) {
-            out[i].error = std::string("RoutedNetDht::multiApply: status ") +
-                           statusName(r.status);
-          }
-          continue;
-        }
-        auto& rep = std::get<MultiGetRep>(r.body);
-        for (size_t j = 0; j < rep.entries.size(); ++j) {
-          const size_t i = chunks[ci].entries[j];
-          state[i].present = rep.entries[j].present;
-          state[i].version = rep.entries[j].version;
-          state[i].value = std::move(rep.entries[j].value);
-          active.push_back(i);
-        }
-      }
-      pending = std::move(retry);
-      if (wantRefresh && !pending.empty()) refreshView(cli);
-    }
-    for (size_t i : pending) {
-      out[i].error = "RoutedNetDht::multiApply: snapshot rpc timeout";
+      state[i].snap = std::move(fetched[i].rep);
+      active.push_back(i);
     }
   }
 
-  // CAS rounds. A Redirect means the CAS did NOT execute, so retrying it
-  // (after a view refresh) is safe; a conflict carries fresh state.
-  std::vector<std::pair<Key, std::pair<std::optional<Value>, u64>>> toReplicate;
+  // CAS rounds: run mutators locally, batch the writes, retry conflicts.
+  // On a seeded view a Redirect means the CAS did NOT execute, so
+  // retrying it after a view refresh is safe.
+  struct Committed {
+    Key key;
+    std::optional<Value> value;  // nullopt = erased
+    u64 version = 0;
+  };
+  std::vector<Committed> toReplicate;
   for (size_t round = 0; round < opts_.casRetries && !active.empty(); ++round) {
-    std::vector<size_t> casEntries;
+    std::vector<size_t> casEntries;  // indices into reqs
     std::vector<CasReq> casReqs;
     for (size_t i : active) {
-      State& s = state[i];
+      const GetRep& s = state[i].snap;
       std::optional<Value> v =
           s.present ? std::optional<Value>(s.value) : std::nullopt;
       reqs[i].fn(v);
-      if (!v.has_value() && !s.present) {
+      if (!v.has_value() && !s.present) {  // absent -> absent: no-op
         out[i].ok = true;
         out[i].existed = false;
         continue;
       }
-      if (v.has_value() && s.present && *v == s.value) {
+      if (v.has_value() && s.present && *v == s.value) {  // no change
         out[i].ok = true;
         out[i].existed = true;
         continue;
       }
       if (v.has_value()) stats_.valueBytesMoved += v->size();
-      s.existedAtFirstCas = s.present;
+      state[i].existedAtFirstCas = s.present;
       casEntries.push_back(i);
       casReqs.push_back(
           CasReq{reqs[i].key, s.version, v.has_value(), v.value_or(Value{})});
@@ -610,7 +669,7 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
 
     auto v = requireView();
     std::vector<size_t> positions(casEntries.size());
-    for (size_t j = 0; j < positions.size(); ++j) positions[j] = j;
+    std::iota(positions.begin(), positions.end(), size_t{0});
     const auto chunks = packByOwner(
         positions, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
         [&](size_t j) { return v->ring.owner(casReqs[j].key); },
@@ -637,13 +696,13 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
       }
       auto r = cli.take(tokens[ci]);
       noteHint(r.hint);
-      if (r.status == Status::Redirect && !r.timedOut) {
+      if (!frozen() && !r.timedOut && r.status == Status::Redirect) {
         for (size_t j : chunks[ci].entries) active.push_back(casEntries[j]);
         wantRefresh = true;
         continue;
       }
       if (r.timedOut || r.status != Status::Ok) {
-        // Lost reply: the CAS may or may not have executed — the
+        // Lost reply: the CAS may or may not have executed — exactly the
         // documented lost-reply semantics for a failed apply entry.
         for (size_t j : chunks[ci].entries) {
           out[casEntries[j]].error = "RoutedNetDht::multiApply: cas rpc timeout";
@@ -658,17 +717,16 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
         if (cr.applied) {
           out[i].ok = true;
           out[i].existed = state[i].existedAtFirstCas;
-          toReplicate.emplace_back(
+          toReplicate.push_back(Committed{
               reqs[i].key,
-              std::make_pair(casReqs[j].present
-                                 ? std::optional<Value>(casReqs[j].value)
+              casReqs[j].present ? std::optional<Value>(casReqs[j].value)
                                  : std::nullopt,
-                             cr.currentVersion));
+              cr.currentVersion});
         } else {
-          state[i].present = cr.currentPresent;
-          state[i].version = cr.currentVersion;
-          state[i].value = std::move(cr.currentValue);
-          active.push_back(i);
+          state[i].snap =
+              GetRep{cr.currentPresent, cr.currentVersion,
+                     std::move(cr.currentValue)};
+          active.push_back(i);  // conflict: retry next round
         }
       }
     }
@@ -677,28 +735,19 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
   for (size_t i : active) {
     out[i].error = "RoutedNetDht::multiApply: CAS contention exhausted";
   }
-
-  if (replicaFanout() > 0 && !toReplicate.empty()) {
-    auto v = requireView();
-    for (const auto& [key, vv] : toReplicate) {
-      replicate(cli, *v, key, vv.first, vv.second);
-    }
+  for (const Committed& c : toReplicate) {
+    replicate(cli, c.key, c.value, c.version);
   }
   return out;
 }
 
 // --- Unrouted / admin -------------------------------------------------------
 
-void RoutedNetDht::unaccountedPut(const Key& key, Value value) {
-  Lease lease(*this);
-  auto r = callRouted(lease.rpc(), key, PutReq{key, value}, "storeDirect");
-  checkStatus(r, "storeDirect", key);
-  replicate(lease.rpc(), *requireView(), key, value,
-            std::get<PutRep>(r.body).version);
-}
-
 void RoutedNetDht::storeDirect(const Key& key, Value value) {
-  unaccountedPut(key, std::move(value));
+  Lease lease(*this);
+  auto r = callRouted(lease.rpc(), key, PutReq{key, value});
+  checkStatus(r, "storeDirect", key);
+  replicate(lease.rpc(), key, value, std::get<PutRep>(r.body).version);
 }
 
 std::optional<Value> RoutedNetDht::getReplica(const Key& key,
@@ -710,14 +759,14 @@ std::optional<Value> RoutedNetDht::getReplica(const Key& key,
   const size_t fanout = replicaFanout();
   if (replicaIndex >= fanout) {
     throw DhtError("RoutedNetDht::getReplica: no replica " +
-                   std::to_string(replicaIndex));
+                   std::to_string(replicaIndex) + " (fanout " +
+                   std::to_string(fanout) + ")");
   }
   auto v = requireView();
   const auto holders = v->ring.holders(key, fanout);
-  if (holders.size() <= replicaIndex + 1) {
-    throw DhtPeerDownError("RoutedNetDht::getReplica: holder unknown");
-  }
-  auto it = v->addrs.find(holders[replicaIndex + 1]);
+  auto it = holders.size() > replicaIndex + 1
+                ? v->addrs.find(holders[replicaIndex + 1])
+                : v->addrs.end();
   if (it == v->addrs.end()) {
     throw DhtPeerDownError("RoutedNetDht::getReplica: holder unknown");
   }
@@ -725,6 +774,8 @@ std::optional<Value> RoutedNetDht::getReplica(const Key& key,
   auto r = lease.rpc().callOne(it->second, ReplicaGetReq{key});
   noteHint(r.hint);
   if (r.timedOut) {
+    // A holder that stays silent through every retransmit is down, as far
+    // as this client can tell — that is the failover decorators' cue.
     throw DhtPeerDownError("RoutedNetDht::getReplica: holder " +
                            it->second.str() + " unresponsive for \"" + key +
                            "\"");
@@ -736,39 +787,30 @@ std::optional<Value> RoutedNetDht::getReplica(const Key& key,
   return std::move(rep.value);
 }
 
-void RoutedNetDht::syncStorage() {
+std::vector<rpc::RpcClient::Result> RoutedNetDht::fanOut(
+    const RequestBody& body) const {
   auto v = requireView();
   Lease lease(*this);
+  rpc::RpcClient& cli = lease.rpc();
   std::vector<rpc::RpcClient::Token> tokens;
+  tokens.reserve(v->addrs.size());
   for (const auto& [id, addr] : v->addrs) {
-    tokens.push_back(lease.rpc().call(addr, SyncReq{}));
+    tokens.push_back(cli.call(addr, body));
   }
-  lease.rpc().settle();
-  for (auto t : tokens) (void)lease.rpc().take(t);
+  cli.settle();
+  std::vector<rpc::RpcClient::Result> out;
+  out.reserve(tokens.size());
+  for (auto t : tokens) out.push_back(cli.take(t));
+  return out;
 }
 
-void RoutedNetDht::compactStorage() {
-  auto v = requireView();
-  Lease lease(*this);
-  std::vector<rpc::RpcClient::Token> tokens;
-  for (const auto& [id, addr] : v->addrs) {
-    tokens.push_back(lease.rpc().call(addr, CompactReq{}));
-  }
-  lease.rpc().settle();
-  for (auto t : tokens) (void)lease.rpc().take(t);
-}
+void RoutedNetDht::syncStorage() { (void)fanOut(SyncReq{}); }
+
+void RoutedNetDht::compactStorage() { (void)fanOut(CompactReq{}); }
 
 size_t RoutedNetDht::size() const {
-  auto v = requireView();
-  Lease lease(*this);
-  std::vector<rpc::RpcClient::Token> tokens;
-  for (const auto& [id, addr] : v->addrs) {
-    tokens.push_back(lease.rpc().call(addr, SizeReq{}));
-  }
-  lease.rpc().settle();
   size_t total = 0;
-  for (auto t : tokens) {
-    auto r = lease.rpc().take(t);
+  for (const auto& r : fanOut(SizeReq{})) {
     if (r.timedOut) {
       throw DhtTimeoutError("RoutedNetDht::size: a node did not answer");
     }

@@ -96,8 +96,8 @@ class LeafCache {
   void noteLeaseServed() { leaseHits_ += 1; }
   void noteLeaseStale() { leaseStale_ += 1; }
   void noteLeaseExpired() { leaseExpired_ += 1; }
-  /// A replica read hit a transport-level timeout (NetDht deadline, as
-  /// opposed to a substrate that *knows* the peer is down and throws
+  /// A replica read hit a transport-level timeout (RoutedNetDht deadline,
+  /// as opposed to a substrate that *knows* the peer is down and throws
   /// DhtPeerDownError). Counted apart from generic drops so a networked
   /// run can tell silent holders from stale ones.
   void noteLeaseTimeout() { leaseTimeouts_ += 1; }

@@ -330,7 +330,7 @@ void OverlayNode::drainResolved() {
       case Pending::Kind::Gossip: resolveGossip(p.gossip, r); break;
       case Pending::Kind::WarmFetch: resolveWarmFetch(p.warm, r); break;
       case Pending::Kind::Handoff: resolveHandoff(p.handoff, r); break;
-      case Pending::Kind::ReplicaPush: break;  // best-effort, like NetDht
+      case Pending::Kind::ReplicaPush: break;  // best-effort, like RoutedNetDht
     }
   }
 }

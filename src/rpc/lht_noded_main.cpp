@@ -4,7 +4,7 @@
 // (rpc/wire.h) until SIGTERM/SIGINT. Two personalities:
 //
 //  * Plain (default): a dumb versioned KV store; all routing lives in the
-//    clients (NetDht). This is the PR 9 daemon, unchanged.
+//    clients (RoutedNetDht over a frozen view of the node list).
 //  * Overlay (--overlay=true): wraps the store in an overlay::OverlayNode
 //    — gossip membership, server-side forward/redirect for misrouted
 //    ops, and live join/leave. Bootstrap either from a static peer list

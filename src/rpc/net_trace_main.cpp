@@ -3,8 +3,9 @@
 //
 // The cluster is someone else's problem (run_cluster.sh / bench_net /
 // bench_overlay fork the daemons); this binary is pure client: build a
-// NetDht (static node list) or RoutedNetDht (--routed: one seed, ring
-// learned via gossip pull + redirects) over UDP, preload one record per
+// RoutedNetDht over UDP — a frozen view of the --nodes list, or with
+// --routed a view bootstrapped from the first port and refreshed via
+// gossip pulls + redirects — preload one record per
 // oracle cell through a loader index, run a mixed insert/find/range
 // trace through a concurrent ClientFleet, then re-read every preloaded
 // record through a fresh verifier client and compare payloads.
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "dht/net_dht.h"
 #include "dht/routed_net_dht.h"
 #include "exec/client_fleet.h"
 #include "exec/thread_pool.h"
@@ -105,33 +105,19 @@ int main(int argc, char** argv) {
   const auto pingDeadline =
       static_cast<common::u64>(flags.getInt("ping-deadline-ms"));
 
-  std::unique_ptr<dht::NetDht> staticDht;
-  std::unique_ptr<dht::RoutedNetDht> routedDht;
-  dht::Dht* dhtPtr = nullptr;
+  dht::RoutedNetDht::Options ro;
   if (routed) {
-    dht::RoutedNetDht::Options ro;
     ro.seed = nodes[0];
-    ro.replication = static_cast<size_t>(flags.getInt("replication"));
-    routedDht = std::make_unique<dht::RoutedNetDht>(ro, makeTransport);
-    if (!routedDht->bootstrap(pingDeadline)) {
-      std::fprintf(stderr,
-                   "lht_net_trace: overlay seed %s never answered\n",
-                   nodes[0].str().c_str());
-      return 3;
-    }
-    dhtPtr = routedDht.get();
   } else {
-    dht::NetDht::Options no;
-    no.nodes = nodes;
-    no.replication = static_cast<size_t>(flags.getInt("replication"));
-    staticDht = std::make_unique<dht::NetDht>(no, makeTransport);
-    if (!staticDht->pingAll(pingDeadline)) {
-      std::fprintf(stderr, "lht_net_trace: cluster did not answer ping\n");
-      return 3;
-    }
-    dhtPtr = staticDht.get();
+    ro.nodes = nodes;
   }
-  dht::Dht& ndht = *dhtPtr;
+  ro.replication = static_cast<size_t>(flags.getInt("replication"));
+  dht::RoutedNetDht ndht(ro, makeTransport);
+  if (!ndht.bootstrap(pingDeadline)) {
+    std::fprintf(stderr, "lht_net_trace: cluster at %s never answered\n",
+                 flags.getString("nodes").c_str());
+    return 3;
+  }
 
   auto indexOptions = [&](common::u64 clientSeed, bool attach) {
     core::LhtIndex::Options io;
@@ -224,29 +210,25 @@ int main(int argc, char** argv) {
       mode.c_str(), routed ? "true" : "false", nodes.size(), clients,
       result.opsTotal, result.opsFailed, result.elapsedWallMs, oracle.size(),
       oracleMisses, oracleMisses == 0 ? "true" : "false", verifyRetries);
-  if (routed) {
-    const auto rs = routedDht->routedStats();
-    std::printf(
-        "\"routed_stats\": {\"bootstraps\": %llu, \"refreshes\": %llu, "
-        "\"redirects_followed\": %llu, \"stale_hints\": %llu, "
-        "\"retries_after_timeout\": %llu, \"known_members\": %zu}, ",
-        static_cast<unsigned long long>(rs.bootstraps),
-        static_cast<unsigned long long>(rs.refreshes),
-        static_cast<unsigned long long>(rs.redirectsFollowed),
-        static_cast<unsigned long long>(rs.staleHints),
-        static_cast<unsigned long long>(rs.retriesAfterTimeout),
-        routedDht->knownMembers());
-  } else {
-    const auto ns = staticDht->netStats();
-    std::printf(
-        "\"net\": {\"datagrams_sent\": %llu, \"datagrams_received\": %llu, "
-        "\"retransmits\": %llu, \"timeouts\": %llu, \"connections\": %llu}, ",
-        static_cast<unsigned long long>(ns.datagramsSent),
-        static_cast<unsigned long long>(ns.datagramsReceived),
-        static_cast<unsigned long long>(ns.retransmits),
-        static_cast<unsigned long long>(ns.timeouts),
-        static_cast<unsigned long long>(ns.connections));
-  }
+  const auto rs = ndht.routedStats();
+  std::printf(
+      "\"routed_stats\": {\"bootstraps\": %llu, \"refreshes\": %llu, "
+      "\"redirects_followed\": %llu, \"stale_hints\": %llu, "
+      "\"retries_after_timeout\": %llu, \"known_members\": %zu}, ",
+      static_cast<unsigned long long>(rs.bootstraps),
+      static_cast<unsigned long long>(rs.refreshes),
+      static_cast<unsigned long long>(rs.redirectsFollowed),
+      static_cast<unsigned long long>(rs.staleHints),
+      static_cast<unsigned long long>(rs.retriesAfterTimeout),
+      ndht.knownMembers());
+  std::printf(
+      "\"net\": {\"datagrams_sent\": %llu, \"datagrams_received\": %llu, "
+      "\"retransmits\": %llu, \"timeouts\": %llu, \"connections\": %llu}, ",
+      static_cast<unsigned long long>(rs.datagramsSent),
+      static_cast<unsigned long long>(rs.datagramsReceived),
+      static_cast<unsigned long long>(rs.retransmits),
+      static_cast<unsigned long long>(rs.timeouts),
+      static_cast<unsigned long long>(rs.connections));
   std::printf(
       "\"dht\": {\"lookups\": %llu, \"hops\": %llu, \"mean_hops\": %.3f, "
       "\"batch_rounds\": %llu}}\n",

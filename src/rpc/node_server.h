@@ -5,7 +5,7 @@
 // primary map (keys this node owns) and a replica map (keys it holds for
 // fanout reads), mirroring Chord's primary/replica split so getReplica
 // and failover reads work identically over the network. All routing and
-// replication intelligence stays in the client (NetDht) or in the
+// replication intelligence stays in the client (RoutedNetDht) or in the
 // OverlayNode wrapper (src/overlay), which is what keeps the node
 // protocol flat. A plain NodeServer answers the overlay membership ops
 // (GossipSync/Join/Leave) with inert refusals; Handoff it executes for

@@ -15,7 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "dht/net_dht.h"
+#include "dht/routed_net_dht.h"
 #include "rpc/rpc_client.h"
 #include "rpc/udp_transport.h"
 
@@ -139,12 +139,12 @@ TEST(NetLoopback, NetDhtAcrossTwoProcesses) {
   ASSERT_TRUE(spawnDaemon(binary, "proc-a", a));
   ASSERT_TRUE(spawnDaemon(binary, "proc-b", b));
 
-  dht::NetDht::Options o;
+  dht::RoutedNetDht::Options o;
   o.nodes = {NetAddr{kLoopbackHost, a.port}, NetAddr{kLoopbackHost, b.port}};
   o.replication = 2;
-  dht::NetDht dht(
+  dht::RoutedNetDht dht(
       o, [] { return std::make_unique<UdpTransport>(UdpTransport::Options{}); });
-  ASSERT_TRUE(dht.pingAll(5000));
+  ASSERT_TRUE(dht.bootstrap(5000));
 
   for (int i = 0; i < 20; ++i) {
     dht.put("key" + std::to_string(i), "v" + std::to_string(i));
@@ -168,7 +168,7 @@ TEST(NetLoopback, NetDhtAcrossTwoProcesses) {
     ASSERT_TRUE(outcomes[i].value.has_value());
   }
   EXPECT_EQ(dht.size(), 20u);
-  EXPECT_EQ(dht.netStats().timeouts, 0u);
+  EXPECT_EQ(dht.routedStats().timeouts, 0u);
 
   for (Daemon* d : {&a, &b}) {
     const int status = d->stop();

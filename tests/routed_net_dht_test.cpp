@@ -33,21 +33,32 @@ constexpr rpc::u16 kBasePort = 6100;
 /// Wall-throttled sim endpoint. A SimTransport's idle receive() advances
 /// its PRIVATE virtual clock by the full wait instantly, so a blocked
 /// thread can spin through any virtual deadline before the threads
-/// serving the other endpoints get scheduled even once. Charging a
-/// sliver of real time per idle wait makes every endpoint's virtual
-/// clock advance at a comparable wall rate, which is what lets finite
-/// timeouts (needed by the crash-failover test) behave across threads.
+/// serving the other endpoints get scheduled even once. Here an idle wait
+/// of T virtual ms first lasts T * kWallUsPerMs of real time, polled in
+/// short slices so an arriving datagram ends it early. Every endpoint's
+/// virtual clock then advances at one fixed wall rate whatever the wait
+/// lengths, so a 2 s request deadline gives the serving threads 100 ms of
+/// real time to be scheduled even on a loaded host, while finite
+/// timeouts (needed by the crash-failover test) still fire fast.
 class ThrottledSim final : public rpc::Transport {
  public:
+  static constexpr rpc::u64 kWallUsPerMs = 50;
+
   explicit ThrottledSim(std::unique_ptr<SimTransport> inner)
       : inner_(std::move(inner)) {}
   bool send(const NetAddr& to, std::string_view payload) override {
     return inner_->send(to, payload);
   }
   size_t receive(std::vector<rpc::Datagram>& out, rpc::u64 timeoutMs) override {
-    const size_t n = inner_->receive(out, timeoutMs);
-    if (n == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
-    return n;
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::microseconds(timeoutMs * kWallUsPerMs);
+    while (true) {
+      if (const size_t n = inner_->receive(out, 0)) return n;
+      if (std::chrono::steady_clock::now() >= until) {
+        return inner_->receive(out, timeoutMs);  // charges the virtual wait
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
   }
   rpc::u64 nowMs() override { return inner_->nowMs(); }
   [[nodiscard]] NetAddr localAddr() const override {
